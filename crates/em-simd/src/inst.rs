@@ -1,6 +1,7 @@
 //! Instruction definitions for the three EM-SIMD instruction families.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::dedicated::DedicatedReg;
 use crate::program::Label;
@@ -204,8 +205,10 @@ pub enum VectorInst {
     Predicated {
         /// The governing predicate.
         pred: PReg,
-        /// The governed instruction (never itself predicated).
-        inst: Box<VectorInst>,
+        /// The governed instruction (never itself predicated). Shared, so
+        /// cloning a predicated instruction out of a program allocates
+        /// nothing.
+        inst: Arc<VectorInst>,
     },
 }
 
@@ -223,7 +226,7 @@ impl VectorInst {
             self.can_be_predicated(),
             "instruction cannot be predicated: {self}"
         );
-        VectorInst::Predicated { pred, inst: Box::new(self) }
+        VectorInst::Predicated { pred, inst: Arc::new(self) }
     }
 
     /// Whether [`predicated`](Self::predicated) accepts this instruction.
@@ -245,7 +248,7 @@ impl VectorInst {
     #[must_use]
     pub fn try_predicated(self, pred: PReg) -> Option<VectorInst> {
         if self.can_be_predicated() {
-            Some(VectorInst::Predicated { pred, inst: Box::new(self) })
+            Some(VectorInst::Predicated { pred, inst: Arc::new(self) })
         } else {
             None
         }
@@ -270,11 +273,12 @@ impl VectorInst {
     /// The predicate registers read as *data* (`Sel`'s selector; the
     /// governing predicate of a predicated instruction is reported by
     /// [`governing_pred`](Self::governing_pred) instead).
-    pub fn pred_srcs(&self) -> Vec<PReg> {
+    pub fn pred_srcs(&self) -> impl Iterator<Item = PReg> + Clone {
         match self.inner() {
-            VectorInst::Sel { sel, .. } => vec![*sel],
-            _ => vec![],
+            VectorInst::Sel { sel, .. } => Some(*sel),
+            _ => None,
         }
+        .into_iter()
     }
 
     /// The governed instruction (`self` when unpredicated).
@@ -313,30 +317,33 @@ impl VectorInst {
     /// The vector registers read by this instruction. Merging predication
     /// additionally reads the old destination; the micro-architecture
     /// tracks that dependency separately at rename.
-    pub fn vector_srcs(&self) -> Vec<VReg> {
-        match self.inner() {
-            VectorInst::Unary { src, .. } => vec![*src],
-            VectorInst::Binary { a, b, .. } => vec![*a, *b],
+    pub fn vector_srcs(&self) -> impl Iterator<Item = VReg> + Clone {
+        let regs = match self.inner() {
+            VectorInst::Unary { src, .. }
+            | VectorInst::ReduceAdd { src, .. }
+            | VectorInst::Store { src, .. } => [Some(*src), None, None],
+            VectorInst::Binary { a, b, .. }
+            | VectorInst::Fcm { a, b, .. }
+            | VectorInst::Sel { a, b, .. } => [Some(*a), Some(*b), None],
             // FMLA also reads its accumulator.
-            VectorInst::Fma { dst, a, b } => vec![*dst, *a, *b],
-            VectorInst::ReduceAdd { src, .. } => vec![*src],
-            VectorInst::Store { src, .. } => vec![*src],
-            VectorInst::Fcm { a, b, .. } | VectorInst::Sel { a, b, .. } => vec![*a, *b],
-            _ => vec![],
-        }
+            VectorInst::Fma { dst, a, b } => [Some(*dst), Some(*a), Some(*b)],
+            _ => [None; 3],
+        };
+        regs.into_iter().flatten()
     }
 
     /// The scalar registers read by this instruction (address operands,
     /// broadcast sources and `Whilelo` bounds).
-    pub fn scalar_srcs(&self) -> Vec<XReg> {
-        match self.inner() {
-            VectorInst::Dup { src, .. } => vec![*src],
+    pub fn scalar_srcs(&self) -> impl Iterator<Item = XReg> + Clone {
+        let regs = match self.inner() {
+            VectorInst::Dup { src, .. } => [Some(*src), None],
             VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
-                vec![*base, *index]
+                [Some(*base), Some(*index)]
             }
-            VectorInst::Whilelo { a, b, .. } => vec![*a, *b],
-            _ => vec![],
-        }
+            VectorInst::Whilelo { a, b, .. } => [Some(*a), Some(*b)],
+            _ => [None; 2],
+        };
+        regs.into_iter().flatten()
     }
 
     /// The scalar register written by this instruction (reductions write
@@ -567,7 +574,7 @@ mod tests {
     #[test]
     fn fma_reads_accumulator() {
         let fma = VectorInst::Fma { dst: VReg::Z3, a: VReg::Z1, b: VReg::Z2 };
-        assert_eq!(fma.vector_srcs(), vec![VReg::Z3, VReg::Z1, VReg::Z2]);
+        assert_eq!(fma.vector_srcs().collect::<Vec<_>>(), vec![VReg::Z3, VReg::Z1, VReg::Z2]);
         assert_eq!(fma.vector_dst(), Some(VReg::Z3));
     }
 
@@ -611,7 +618,7 @@ mod tests {
         assert!(p.is_mem());
         assert_eq!(p.governing_pred(), Some(PReg::P2));
         assert_eq!(p.vector_dst(), Some(VReg::Z1));
-        assert_eq!(p.scalar_srcs(), ld.scalar_srcs());
+        assert!(p.scalar_srcs().eq(ld.scalar_srcs()));
         assert_eq!(p.to_string(), "ld1w z1.s, [x0, x1, lsl #2] [p2/m]");
     }
 
@@ -627,20 +634,20 @@ mod tests {
         let w = VectorInst::Whilelo { dst: PReg::P3, a: XReg::X1, b: XReg::X2 };
         assert_eq!(w.pred_dst(), Some(PReg::P3));
         assert_eq!(w.vector_dst(), None);
-        assert_eq!(w.scalar_srcs(), vec![XReg::X1, XReg::X2]);
+        assert_eq!(w.scalar_srcs().collect::<Vec<_>>(), vec![XReg::X1, XReg::X2]);
         assert!(w.is_compute());
         assert_eq!(w.to_string(), "whilelo p3.s, x1, x2");
 
         let f = VectorInst::Fcm { op: VCmpOp::Ge, dst: PReg::P1, a: VReg::Z1, b: VReg::Z2 };
         assert_eq!(f.pred_dst(), Some(PReg::P1));
-        assert_eq!(f.vector_srcs(), vec![VReg::Z1, VReg::Z2]);
+        assert_eq!(f.vector_srcs().collect::<Vec<_>>(), vec![VReg::Z1, VReg::Z2]);
         assert_eq!(f.to_string(), "fcmge p1.s, z1.s, z2.s");
     }
 
     #[test]
     fn sel_reads_its_selector_as_data() {
         let s = VectorInst::Sel { dst: VReg::Z5, sel: PReg::P4, a: VReg::Z1, b: VReg::Z2 };
-        assert_eq!(s.pred_srcs(), vec![PReg::P4]);
+        assert_eq!(s.pred_srcs().collect::<Vec<_>>(), vec![PReg::P4]);
         assert_eq!(s.vector_dst(), Some(VReg::Z5));
         assert_eq!(s.governing_pred(), None);
         assert_eq!(s.to_string(), "sel z5.s, p4, z1.s, z2.s");

@@ -4,6 +4,8 @@
 //! any accidental format change shows up here as a diff, not as silent
 //! churn in user-facing tooling.
 
+use std::sync::Arc;
+
 use em_simd::{
     DedicatedReg, EmSimdInst, Operand, PReg, ProgramBuilder, ScalarInst, VBinOp, VCmpOp, VReg,
     VUnOp, VectorInst, XReg,
@@ -106,7 +108,7 @@ fn every_instruction_form_renders_stably() {
         (
             VectorInst::Predicated {
                 pred: PReg::P0,
-                inst: Box::new(VectorInst::Load { dst: VReg::Z6, base: XReg::X0, index: XReg::X1 }),
+                inst: Arc::new(VectorInst::Load { dst: VReg::Z6, base: XReg::X0, index: XReg::X1 }),
             }
             .into(),
             "ld1w z6.s, [x0, x1, lsl #2] [p0/m]",

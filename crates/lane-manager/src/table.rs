@@ -292,10 +292,22 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "try_reconfigure")]
     fn raw_vl_write_is_rejected() {
         let mut tbl = ResourceTable::new(1, 4);
         tbl.write(0, DedicatedReg::Vl, 2);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn raw_vl_and_al_writes_are_ignored_in_release() {
+        let mut tbl = ResourceTable::new(1, 4);
+        tbl.write(0, DedicatedReg::Vl, 2);
+        tbl.write(0, DedicatedReg::Al, 0);
+        assert_eq!(tbl.vl(0), VectorLength::ZERO);
+        assert_eq!(tbl.free_granules(), 4);
+        assert!(tbl.invariant_holds());
     }
 
     #[test]

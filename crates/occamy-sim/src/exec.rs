@@ -1,16 +1,40 @@
 //! Pure functional semantics of vector compute operations.
+//!
+//! Every lane-wise operation writes into a caller-provided destination
+//! slice, so executing an instruction allocates nothing: the timing model
+//! and the functional engine both run [`compute`] into a reusable buffer
+//! and copy the result into the destination register's lanes.
 
-use em_simd::{VBinOp, VCmpOp, VUnOp};
+use em_simd::{VBinOp, VCmpOp, VUnOp, VectorInst, XReg};
+use mem_sim::Memory;
+
+/// Applies `f` lane-wise from `src` into `out`.
+fn map1(src: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+    assert_eq!(src.len(), out.len(), "vector width mismatch");
+    for (o, &x) in out.iter_mut().zip(src) {
+        *o = f(x);
+    }
+}
+
+/// Applies `f` lane-wise from `a` and `b` into `out`.
+fn map2(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    assert!(a.len() == b.len() && a.len() == out.len(), "vector width mismatch");
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
 
 /// Applies a unary lane-wise operation.
-pub fn exec_unary(op: VUnOp, src: &[f32]) -> Vec<f32> {
-    src.iter()
-        .map(|&x| match op {
-            VUnOp::Fneg => -x,
-            VUnOp::Fabs => x.abs(),
-            VUnOp::Fsqrt => x.sqrt(),
-        })
-        .collect()
+///
+/// # Panics
+///
+/// Panics if the widths differ.
+pub fn unary(op: VUnOp, src: &[f32], out: &mut [f32]) {
+    match op {
+        VUnOp::Fneg => map1(src, out, |x| -x),
+        VUnOp::Fabs => map1(src, out, f32::abs),
+        VUnOp::Fsqrt => map1(src, out, f32::sqrt),
+    }
 }
 
 /// Applies a binary lane-wise operation.
@@ -18,19 +42,15 @@ pub fn exec_unary(op: VUnOp, src: &[f32]) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if the operand widths differ (a renamer invariant violation).
-pub fn exec_binary(op: VBinOp, a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "vector width mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| match op {
-            VBinOp::Fadd => x + y,
-            VBinOp::Fsub => x - y,
-            VBinOp::Fmul => x * y,
-            VBinOp::Fdiv => x / y,
-            VBinOp::Fmax => x.max(y),
-            VBinOp::Fmin => x.min(y),
-        })
-        .collect()
+pub fn binary(op: VBinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match op {
+        VBinOp::Fadd => map2(a, b, out, |x, y| x + y),
+        VBinOp::Fsub => map2(a, b, out, |x, y| x - y),
+        VBinOp::Fmul => map2(a, b, out, |x, y| x * y),
+        VBinOp::Fdiv => map2(a, b, out, |x, y| x / y),
+        VBinOp::Fmax => map2(a, b, out, f32::max),
+        VBinOp::Fmin => map2(a, b, out, f32::min),
+    }
 }
 
 /// Fused multiply-add: `acc[i] + a[i] * b[i]` per lane.
@@ -38,9 +58,14 @@ pub fn exec_binary(op: VBinOp, a: &[f32], b: &[f32]) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if the operand widths differ.
-pub fn exec_fma(acc: &[f32], a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert!(acc.len() == a.len() && a.len() == b.len(), "vector width mismatch");
-    acc.iter().zip(a).zip(b).map(|((&c, &x), &y)| x.mul_add(y, c)).collect()
+pub fn fma(acc: &[f32], a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        acc.len() == a.len() && a.len() == b.len() && b.len() == out.len(),
+        "vector width mismatch"
+    );
+    for (((o, &c), &x), &y) in out.iter_mut().zip(acc).zip(a).zip(b) {
+        *o = x.mul_add(y, c);
+    }
 }
 
 /// Horizontal sum over all lanes (SVE `FADDV` semantics: strict
@@ -49,17 +74,33 @@ pub fn reduce_add(src: &[f32]) -> f32 {
     src.iter().fold(0.0, |acc, &x| acc + x)
 }
 
-/// Merging predication: `mask[i] ? new[i] : old[i]` per lane.
+/// Lane select: `out[i] = mask[i] ? a[i] : b[i]`.
 ///
 /// # Panics
 ///
 /// Panics if the widths differ.
-pub fn blend(mask: &[f32], new: &[f32], old: &[f32]) -> Vec<f32> {
-    assert!(mask.len() == new.len() && new.len() == old.len(), "vector width mismatch");
-    mask.iter()
-        .zip(new.iter().zip(old))
-        .map(|(&m, (&n, &o))| if m != 0.0 { n } else { o })
-        .collect()
+pub fn select(mask: &[f32], a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        mask.len() == a.len() && a.len() == b.len() && b.len() == out.len(),
+        "vector width mismatch"
+    );
+    for (((o, &m), &x), &y) in out.iter_mut().zip(mask).zip(a).zip(b) {
+        *o = if m != 0.0 { x } else { y };
+    }
+}
+
+/// Merging predication in place: inactive lanes of `out` take `old`'s.
+///
+/// # Panics
+///
+/// Panics if the widths differ.
+pub fn merge(mask: &[f32], old: &[f32], out: &mut [f32]) {
+    assert!(mask.len() == old.len() && old.len() == out.len(), "vector width mismatch");
+    for ((o, &m), &prev) in out.iter_mut().zip(mask).zip(old) {
+        if m == 0.0 {
+            *o = prev;
+        }
+    }
 }
 
 /// Predicated horizontal sum: only active lanes contribute.
@@ -74,8 +115,10 @@ pub fn reduce_add_masked(mask: &[f32], src: &[f32]) -> f32 {
 
 /// The WHILELO predicate: lane `i` is active iff `a + i < b`
 /// (represented as 1.0/0.0 per lane).
-pub fn whilelo(a: u64, b: u64, lanes: usize) -> Vec<f32> {
-    (0..lanes as u64).map(|i| if a + i < b { 1.0 } else { 0.0 }).collect()
+pub fn whilelo(a: u64, b: u64, out: &mut [f32]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = if (a + i as u64) < b { 1.0 } else { 0.0 };
+    }
 }
 
 /// Lane-wise comparison producing a predicate mask (SVE `FCMxx`).
@@ -83,36 +126,171 @@ pub fn whilelo(a: u64, b: u64, lanes: usize) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if the widths differ.
-pub fn compare(op: VCmpOp, a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "vector width mismatch");
-    a.iter().zip(b).map(|(&x, &y)| if op.eval(x, y) { 1.0 } else { 0.0 }).collect()
+pub fn compare(op: VCmpOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+    map2(a, b, out, |x, y| if op.eval(x, y) { 1.0 } else { 0.0 });
+}
+
+/// Bytes a vector access at `bytes` bytes really touches: predicated
+/// accesses only touch active lanes (SVE fault suppression), so the span
+/// ends at the last active lane.
+pub(crate) fn access_span(mask: Option<&[f32]>, bytes: u64) -> u64 {
+    match mask {
+        Some(m) => m.iter().rposition(|&a| a != 0.0).map_or(0, |i| (i as u64 + 1) * 4),
+        None => bytes,
+    }
+}
+
+/// A vector load of `lanes` lanes from `addr` into `out`. Predicated
+/// loads are zeroing (SVE `LD1`) and read only active lanes, one per
+/// mask lane.
+pub(crate) fn load(
+    mem: &Memory,
+    addr: u64,
+    lanes: usize,
+    mask: Option<&[f32]>,
+    out: &mut Vec<f32>,
+) {
+    out.clear();
+    match mask {
+        Some(m) => out.extend(m.iter().enumerate().map(|(i, &active)| {
+            if active != 0.0 {
+                mem.read_f32(addr + 4 * i as u64)
+            } else {
+                0.0
+            }
+        })),
+        None => out.extend((0..lanes).map(|i| mem.read_f32(addr + 4 * i as u64))),
+    }
+}
+
+/// A vector store of `value` to `addr`; a predicated store writes only
+/// active lanes.
+pub(crate) fn store(mem: &mut Memory, addr: u64, value: &[f32], mask: Option<&[f32]>) {
+    match mask {
+        Some(m) => {
+            for (i, (&active, &v)) in m.iter().zip(value).enumerate() {
+                if active != 0.0 {
+                    mem.write_f32(addr + 4 * i as u64, v);
+                }
+            }
+        }
+        None => mem.write_f32_slice(addr, value),
+    }
+}
+
+/// The register values one compute instruction reads.
+pub(crate) struct Operands<'a> {
+    /// Vector sources in [`VectorInst::vector_srcs`] order (unused
+    /// entries are empty).
+    pub srcs: [&'a [f32]; 3],
+    /// Governing predicate, if predicated.
+    pub mask: Option<&'a [f32]>,
+    /// `Sel`'s selector predicate.
+    pub sel: Option<&'a [f32]>,
+    /// The destination's prior value, for merging predication.
+    pub old: Option<&'a [f32]>,
+}
+
+/// Executes compute instruction `inst` at `lanes` lanes into `out`
+/// (resized to the result width; emptied for reductions, whose result is
+/// the returned scalar writeback). `aux` is the scalar payload captured at
+/// transmit: the broadcast value's bits for `Dup`, the `Whilelo` bounds
+/// packed as two `u32`s.
+///
+/// # Panics
+///
+/// Panics if operand widths differ (a renamer invariant violation).
+pub(crate) fn compute(
+    inst: &VectorInst,
+    ops: &Operands<'_>,
+    aux: Option<u64>,
+    lanes: usize,
+    out: &mut Vec<f32>,
+) -> Option<(XReg, f32)> {
+    let [s0, s1, s2] = ops.srcs;
+    let width = match inst.inner() {
+        VectorInst::Unary { .. }
+        | VectorInst::Binary { .. }
+        | VectorInst::Fma { .. }
+        | VectorInst::Fcm { .. }
+        | VectorInst::Sel { .. } => s0.len(),
+        VectorInst::ReduceAdd { .. } => 0,
+        _ => lanes,
+    };
+    out.clear();
+    out.resize(width, 0.0);
+    let mut scalar_wb = None;
+    match inst.inner() {
+        VectorInst::Unary { op, .. } => unary(*op, s0, out),
+        VectorInst::Binary { op, .. } => binary(*op, s0, s1, out),
+        VectorInst::Fma { .. } => fma(s0, s1, s2, out),
+        VectorInst::DupImm { imm, .. } => out.fill(*imm),
+        VectorInst::Dup { .. } => out.fill(f32::from_bits(aux.unwrap_or(0) as u32)),
+        VectorInst::ReduceAdd { dst, .. } => {
+            let sum = match ops.mask {
+                Some(m) => reduce_add_masked(m, s0),
+                None => reduce_add(s0),
+            };
+            scalar_wb = Some((*dst, sum));
+        }
+        VectorInst::Whilelo { .. } => {
+            debug_assert!(aux.is_some(), "whilelo bounds captured at transmit");
+            let bounds = aux.unwrap_or(0);
+            whilelo(bounds >> 32, bounds & 0xffff_ffff, out);
+        }
+        VectorInst::Fcm { op, .. } => compare(*op, s0, s1, out),
+        VectorInst::Sel { .. } => select(ops.sel.unwrap_or_default(), s0, s1, out),
+        VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
+            // Memory ops take the load/store path and inner() strips
+            // predication; neither reaches here.
+            debug_assert!(false, "non-compute instruction in the compute path");
+        }
+    }
+    // Merging predication: inactive lanes keep the old destination.
+    if let (Some(m), Some(old)) = (ops.mask, ops.old) {
+        merge(m, old, out);
+    }
+    scalar_wb
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn un(op: VUnOp, src: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; src.len()];
+        unary(op, src, &mut out);
+        out
+    }
+
+    fn bin(op: VBinOp, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; a.len()];
+        binary(op, a, b, &mut out);
+        out
+    }
+
     #[test]
     fn unary_ops() {
-        assert_eq!(exec_unary(VUnOp::Fneg, &[1.0, -2.0]), vec![-1.0, 2.0]);
-        assert_eq!(exec_unary(VUnOp::Fabs, &[-3.0, 4.0]), vec![3.0, 4.0]);
-        assert_eq!(exec_unary(VUnOp::Fsqrt, &[9.0, 16.0]), vec![3.0, 4.0]);
+        assert_eq!(un(VUnOp::Fneg, &[1.0, -2.0]), vec![-1.0, 2.0]);
+        assert_eq!(un(VUnOp::Fabs, &[-3.0, 4.0]), vec![3.0, 4.0]);
+        assert_eq!(un(VUnOp::Fsqrt, &[9.0, 16.0]), vec![3.0, 4.0]);
     }
 
     #[test]
     fn binary_ops() {
-        assert_eq!(exec_binary(VBinOp::Fadd, &[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(exec_binary(VBinOp::Fsub, &[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
-        assert_eq!(exec_binary(VBinOp::Fmul, &[2.0, 3.0], &[4.0, 5.0]), vec![8.0, 15.0]);
-        assert_eq!(exec_binary(VBinOp::Fdiv, &[8.0, 9.0], &[2.0, 3.0]), vec![4.0, 3.0]);
-        assert_eq!(exec_binary(VBinOp::Fmax, &[1.0, 5.0], &[2.0, 3.0]), vec![2.0, 5.0]);
-        assert_eq!(exec_binary(VBinOp::Fmin, &[1.0, 5.0], &[2.0, 3.0]), vec![1.0, 3.0]);
+        assert_eq!(bin(VBinOp::Fadd, &[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
+        assert_eq!(bin(VBinOp::Fsub, &[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
+        assert_eq!(bin(VBinOp::Fmul, &[2.0, 3.0], &[4.0, 5.0]), vec![8.0, 15.0]);
+        assert_eq!(bin(VBinOp::Fdiv, &[8.0, 9.0], &[2.0, 3.0]), vec![4.0, 3.0]);
+        assert_eq!(bin(VBinOp::Fmax, &[1.0, 5.0], &[2.0, 3.0]), vec![2.0, 5.0]);
+        assert_eq!(bin(VBinOp::Fmin, &[1.0, 5.0], &[2.0, 3.0]), vec![1.0, 3.0]);
     }
 
     #[test]
     fn fma_is_fused() {
-        let r = exec_fma(&[1.0], &[2.0], &[3.0]);
-        assert_eq!(r, vec![7.0]);
+        let mut out = [0.0];
+        fma(&[1.0], &[2.0], &[3.0], &mut out);
+        assert_eq!(out, [7.0]);
     }
 
     #[test]
@@ -124,13 +302,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
-        let _ = exec_binary(VBinOp::Fadd, &[1.0], &[1.0, 2.0]);
+        let _ = bin(VBinOp::Fadd, &[1.0], &[1.0, 2.0]);
     }
 
     #[test]
-    fn blend_merges_by_mask() {
-        let r = blend(&[1.0, 0.0, 1.0], &[9.0, 9.0, 9.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(r, vec![9.0, 2.0, 9.0]);
+    fn select_and_merge_by_mask() {
+        let mut out = [0.0; 3];
+        select(&[1.0, 0.0, 1.0], &[9.0, 9.0, 9.0], &[1.0, 2.0, 3.0], &mut out);
+        assert_eq!(out, [9.0, 2.0, 9.0]);
+        let mut out = [9.0; 3];
+        merge(&[1.0, 0.0, 1.0], &[1.0, 2.0, 3.0], &mut out);
+        assert_eq!(out, [9.0, 2.0, 9.0]);
     }
 
     #[test]
@@ -140,16 +322,41 @@ mod tests {
 
     #[test]
     fn compare_produces_masks() {
-        let m = compare(VCmpOp::Gt, &[1.0, 5.0, 3.0], &[2.0, 2.0, 3.0]);
-        assert_eq!(m, vec![0.0, 1.0, 0.0]);
-        let m = compare(VCmpOp::Le, &[1.0, 5.0, 3.0], &[2.0, 2.0, 3.0]);
-        assert_eq!(m, vec![1.0, 0.0, 1.0]);
+        let mut m = [0.0; 3];
+        compare(VCmpOp::Gt, &[1.0, 5.0, 3.0], &[2.0, 2.0, 3.0], &mut m);
+        assert_eq!(m, [0.0, 1.0, 0.0]);
+        compare(VCmpOp::Le, &[1.0, 5.0, 3.0], &[2.0, 2.0, 3.0], &mut m);
+        assert_eq!(m, [1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn whilelo_counts_remaining() {
-        assert_eq!(whilelo(6, 8, 4), vec![1.0, 1.0, 0.0, 0.0]);
-        assert_eq!(whilelo(8, 8, 4), vec![0.0; 4]);
-        assert_eq!(whilelo(0, 100, 4), vec![1.0; 4]);
+        let mut m = [0.0; 4];
+        whilelo(6, 8, &mut m);
+        assert_eq!(m, [1.0, 1.0, 0.0, 0.0]);
+        whilelo(8, 8, &mut m);
+        assert_eq!(m, [0.0; 4]);
+        whilelo(0, 100, &mut m);
+        assert_eq!(m, [1.0; 4]);
+    }
+
+    #[test]
+    fn compute_merges_predicated_results() {
+        let inst = VectorInst::Binary {
+            op: VBinOp::Fadd,
+            dst: em_simd::VReg::Z0,
+            a: em_simd::VReg::Z1,
+            b: em_simd::VReg::Z2,
+        }
+        .predicated(em_simd::PReg::P0);
+        let ops = Operands {
+            srcs: [&[1.0, 2.0], &[10.0, 20.0], &[]],
+            mask: Some(&[0.0, 1.0]),
+            sel: None,
+            old: Some(&[-1.0, -2.0]),
+        };
+        let mut out = Vec::new();
+        assert_eq!(compute(&inst, &ops, None, 2, &mut out), None);
+        assert_eq!(out, vec![-1.0, 22.0]);
     }
 }

@@ -31,7 +31,7 @@
 //! refuses to enter a functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst, XReg};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst};
 use mem_sim::ServiceLevel;
 
 use crate::error::SimError;
@@ -227,8 +227,10 @@ impl<'m> FunctionalEngine<'m> {
     }
 
     /// A vector instruction over the architectural register state: the
-    /// whole-`<VL>` lane loop is one slice operation from
-    /// [`crate::exec`], at the core's currently configured width.
+    /// whole-`<VL>` lane loop is one slice operation from [`crate::exec`]
+    /// at the core's currently configured width — the same execution
+    /// the timing model's issue stage runs, written straight into the
+    /// destination register.
     fn exec_vector(&mut self, c: usize, v: &VectorInst) -> Result<Step, SimError> {
         let lanes = self.m.coproc.cur_vl(c).lanes();
         if lanes == 0 {
@@ -241,80 +243,9 @@ impl<'m> FunctionalEngine<'m> {
         if v.is_mem() {
             return self.exec_vector_mem(c, v, lanes);
         }
-
-        // Register reads borrow the physical register file directly —
-        // the instruction loop's only allocation is the one result
-        // vector the writeback needs to own.
         let m = &mut *self.m;
-        let coproc = &m.coproc;
-        let mask: Option<&[f32]> = v.governing_pred().map(|p| coproc.preg(c, p));
-        let srcs = v.vector_srcs();
-        let x = &m.scalar[c].x;
-        let (mut value, scalar_wb): (Vec<f32>, Option<(XReg, f32)>) = match v.inner() {
-            VectorInst::Unary { op, .. } => (exec::exec_unary(*op, coproc.vreg(c, srcs[0])), None),
-            VectorInst::Binary { op, .. } => {
-                (exec::exec_binary(*op, coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])), None)
-            }
-            VectorInst::Fma { .. } => (
-                exec::exec_fma(
-                    coproc.vreg(c, srcs[0]),
-                    coproc.vreg(c, srcs[1]),
-                    coproc.vreg(c, srcs[2]),
-                ),
-                None,
-            ),
-            VectorInst::DupImm { imm, .. } => (vec![*imm; lanes], None),
-            VectorInst::Dup { src, .. } => {
-                (vec![f32::from_bits(x[src.index()] as u32); lanes], None)
-            }
-            VectorInst::ReduceAdd { dst, .. } => {
-                let sum = match mask {
-                    Some(mk) => exec::reduce_add_masked(mk, coproc.vreg(c, srcs[0])),
-                    None => exec::reduce_add(coproc.vreg(c, srcs[0])),
-                };
-                (Vec::new(), Some((*dst, sum)))
-            }
-            VectorInst::Whilelo { a, b, .. } => {
-                let lo = x[a.index()] as u32;
-                let hi = x[b.index()] as u32;
-                (exec::whilelo(u64::from(lo), u64::from(hi), lanes), None)
-            }
-            VectorInst::Fcm { op, .. } => {
-                (exec::compare(*op, coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])), None)
-            }
-            VectorInst::Sel { sel, .. } => (
-                exec::blend(coproc.preg(c, *sel), coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])),
-                None,
-            ),
-            VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
-                // inner() strips predication and memory ops were routed
-                // above; nothing reaches here.
-                debug_assert!(false, "non-compute instruction in the compute path");
-                (vec![0.0; lanes], None)
-            }
-        };
-        // Merging predication: inactive lanes keep the old destination.
-        // Merged in place when the widths line up; the width-mismatch
-        // case falls back to `exec::blend`, which panics exactly like
-        // the timing path would.
-        if let (Some(mk), Some(d)) = (mask, v.vector_dst()) {
-            let old = coproc.vreg(c, d);
-            if mk.len() == value.len() && value.len() == old.len() {
-                for (i, slot) in value.iter_mut().enumerate() {
-                    if mk[i] == 0.0 {
-                        *slot = old[i];
-                    }
-                }
-            } else {
-                value = exec::blend(mk, &value, old);
-            }
-        }
-        if let Some(d) = v.vector_dst() {
-            m.coproc.write_vreg(c, d, value);
-        } else if let Some(p) = v.pred_dst() {
-            m.coproc.write_preg(c, p, value);
-        }
-        if let Some((reg, sum)) = scalar_wb {
+        let aux = m.scalar[c].vector_payload(v);
+        if let Some((reg, sum)) = m.coproc.execute_arch(c, v, aux) {
             m.scalar[c].write_f32(reg, sum);
         }
         m.scalar[c].pc += 1;
@@ -327,24 +258,10 @@ impl<'m> FunctionalEngine<'m> {
     /// memory image: same span arithmetic, bounds check, zeroing-load
     /// and active-lane-store semantics as the timing LSU path.
     fn exec_vector_mem(&mut self, c: usize, v: &VectorInst, lanes: usize) -> Result<Step, SimError> {
-        let warm = self.warm;
         let m = &mut *self.m;
-        let (base, index) = match v.inner() {
-            VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
-                (*base, *index)
-            }
-            _ => return Ok(Step::Retired),
-        };
-        let addr = m.scalar[c].x[base.index()]
-            .wrapping_add(m.scalar[c].x[index.index()].wrapping_mul(4));
+        let Some(addr) = m.scalar[c].vector_payload(v) else { return Ok(Step::Retired) };
         let bytes = (lanes * 4) as u64;
-        let mask: Option<&[f32]> = v.governing_pred().map(|p| m.coproc.preg(c, p));
-        // Predicated accesses only touch active lanes (SVE fault
-        // suppression): the checked span ends at the last active lane.
-        let span = match mask {
-            Some(mk) => mk.iter().rposition(|&a| a != 0.0).map_or(0, |i| (i as u64 + 1) * 4),
-            None => bytes,
-        };
+        let span = exec::access_span(v.governing_pred().map(|p| m.coproc.preg(c, p)), bytes);
         if span > 0 && addr.checked_add(span).is_none_or(|end| end > m.mem.capacity() as u64) {
             let e = SimError::MemoryFault {
                 core: c,
@@ -352,54 +269,15 @@ impl<'m> FunctionalEngine<'m> {
                 bytes: span,
                 capacity: m.mem.capacity() as u64,
             };
-            // First fault wins, mirroring `trip` (which can't be called
-            // while the predicate mask borrows the register file).
-            if m.fault.is_none() {
-                m.fault = Some(e.clone());
-            }
-            return Err(e);
+            return Err(self.trip(e));
         }
         // Keep vector-cache and L2 tag/LRU state in sync with the lines
         // this access would touch, so post-fast-forward timing windows
         // see warm caches.
-        if warm && span > 0 {
+        if self.warm && span > 0 {
             m.memsys.warm(addr, span, ServiceLevel::FirstLevel);
         }
-        match v.inner() {
-            VectorInst::Load { dst, .. } => {
-                // Predicated loads are zeroing (SVE LD1).
-                let data: Vec<f32> = match mask {
-                    Some(mk) => mk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &active)| {
-                            if active != 0.0 {
-                                m.mem.read_f32(addr + 4 * i as u64)
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect(),
-                    None => m.mem.read_f32_slice(addr, lanes),
-                };
-                m.coproc.write_vreg(c, *dst, data);
-            }
-            VectorInst::Store { src, .. } => {
-                let value = m.coproc.vreg(c, *src);
-                match mask {
-                    // Predicated store: only active lanes are written.
-                    Some(mk) => {
-                        for (i, (&active, &val)) in mk.iter().zip(value).enumerate() {
-                            if active != 0.0 {
-                                m.mem.write_f32(addr + 4 * i as u64, val);
-                            }
-                        }
-                    }
-                    None => m.mem.write_f32_slice(addr, value),
-                }
-            }
-            _ => {}
-        }
+        m.coproc.access_arch(c, v, &mut m.mem, addr);
         m.scalar[c].pc += 1;
         m.core_stats[c].vector_mem_issued += 1;
         m.coproc.retired += 1;

@@ -17,7 +17,7 @@
 //!   EM-SIMD data path responds — except `MRS <decision>`, which is
 //!   speculatively satisfied immediately (§4.1.1).
 
-use em_simd::{InstTag, Operand, Program, ScalarInst, XReg, NUM_XREGS};
+use em_simd::{InstTag, Operand, Program, ScalarInst, VectorInst, XReg, NUM_XREGS};
 use mem_sim::Cycle;
 
 /// What a scalar core is currently blocked on.
@@ -101,42 +101,36 @@ impl ScalarCore {
 
     /// The scalar registers an instruction reads (for pending-writeback
     /// interlocks).
-    pub fn scalar_reads(inst: &ScalarInst) -> Vec<XReg> {
+    pub fn scalar_reads(inst: &ScalarInst) -> impl Iterator<Item = XReg> {
         fn op(o: &Operand) -> Option<XReg> {
             match o {
                 Operand::Reg(r) => Some(*r),
                 Operand::Imm(_) => None,
             }
         }
-        match inst {
-            ScalarInst::MovImm { .. } | ScalarInst::FmovImm { .. } | ScalarInst::Nop => vec![],
-            ScalarInst::Mov { src, .. } => vec![*src],
+        let regs = match inst {
+            ScalarInst::MovImm { .. }
+            | ScalarInst::FmovImm { .. }
+            | ScalarInst::Nop
+            | ScalarInst::B { .. } => [None; 3],
+            ScalarInst::Mov { src: a, .. } | ScalarInst::ShlImm { a, .. } => [Some(*a), None, None],
             ScalarInst::Add { a, b, .. }
             | ScalarInst::Sub { a, b, .. }
             | ScalarInst::Mul { a, b, .. }
             | ScalarInst::Div { a, b, .. }
-            | ScalarInst::Rem { a, b, .. } => {
-                let mut v = vec![*a];
-                v.extend(op(b));
-                v
-            }
-            ScalarInst::ShlImm { a, .. } => vec![*a],
+            | ScalarInst::Rem { a, b, .. }
+            | ScalarInst::Beq { a, b, .. }
+            | ScalarInst::Bne { a, b, .. }
+            | ScalarInst::Blt { a, b, .. }
+            | ScalarInst::Bge { a, b, .. } => [Some(*a), op(b), None],
             ScalarInst::Fadd { a, b, .. }
             | ScalarInst::Fsub { a, b, .. }
             | ScalarInst::Fmul { a, b, .. }
-            | ScalarInst::Fdiv { a, b, .. } => vec![*a, *b],
-            ScalarInst::Ldr { base, index, .. } => vec![*base, *index],
-            ScalarInst::Str { src, base, index } => vec![*src, *base, *index],
-            ScalarInst::B { .. } => vec![],
-            ScalarInst::Beq { a, b, .. }
-            | ScalarInst::Bne { a, b, .. }
-            | ScalarInst::Blt { a, b, .. }
-            | ScalarInst::Bge { a, b, .. } => {
-                let mut v = vec![*a];
-                v.extend(op(b));
-                v
-            }
-        }
+            | ScalarInst::Fdiv { a, b, .. } => [Some(*a), Some(*b), None],
+            ScalarInst::Ldr { base, index, .. } => [Some(*base), Some(*index), None],
+            ScalarInst::Str { src, base, index } => [Some(*src), Some(*base), Some(*index)],
+        };
+        regs.into_iter().flatten()
     }
 
     /// The scalar register an instruction writes, if any.
@@ -163,7 +157,7 @@ impl ScalarCore {
     /// Whether the instruction must wait: it reads a register with a
     /// pending writeback (RAW) or overwrites one (WAW).
     pub fn blocked_on_pending(&self, inst: &ScalarInst) -> bool {
-        Self::scalar_reads(inst).iter().any(|r| self.pending_x[r.index()])
+        Self::scalar_reads(inst).any(|r| self.pending_x[r.index()])
             || Self::scalar_write(inst).is_some_and(|r| self.pending_x[r.index()])
     }
 
@@ -177,6 +171,26 @@ impl ScalarCore {
                 true
             }
         });
+    }
+
+    /// The scalar payload a vector instruction carries to the
+    /// co-processor, read from this core's registers at transmit
+    /// (Table 2: scalar operands are ready by then): the effective
+    /// address of a memory access, the broadcast value's bits for `Dup`,
+    /// and the `Whilelo` bounds packed as two `u32`s.
+    pub(crate) fn vector_payload(&self, v: &VectorInst) -> Option<u64> {
+        match v.inner() {
+            VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => Some(
+                self.x[base.index()].wrapping_add(self.x[index.index()].wrapping_mul(4)),
+            ),
+            VectorInst::Dup { src, .. } => Some(self.x[src.index()]),
+            VectorInst::Whilelo { a, b, .. } => {
+                let lo = self.x[a.index()] as u32;
+                let hi = self.x[b.index()] as u32;
+                Some((u64::from(lo) << 32) | u64::from(hi))
+            }
+            _ => None,
+        }
     }
 
     /// Executes a non-memory scalar instruction, updating registers and
@@ -373,7 +387,7 @@ mod tests {
             b: Operand::Reg(XReg::X9),
             target: l,
         });
-        assert_eq!(reads, vec![XReg::X2, XReg::X9]);
+        assert_eq!(reads.collect::<Vec<_>>(), vec![XReg::X2, XReg::X9]);
     }
 
     #[test]

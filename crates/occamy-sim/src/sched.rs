@@ -1,8 +1,11 @@
 //! The discrete-event scheduler behind the event-driven timing kernel.
 //!
-//! [`EventQueue`] is a cycle-keyed calendar queue (MGSim-style): events
-//! live in per-cycle buckets held in a [`BTreeMap`], so the earliest
-//! pending cycle is the map's first key. The machine uses it to find the
+//! [`EventQueue`] is a cycle-keyed event queue (MGSim-style): events are
+//! kept in one vector sorted latest-first, so the earliest pending event
+//! is its last element and popping it is O(1). The queue holds a handful
+//! of events per skip attempt, where a sorted vector beats a tree, and
+//! [`reset`](EventQueue::reset) reuses its storage, so the machine's
+//! per-attempt queue allocates nothing. The machine uses it to find the
 //! next cycle at which *anything* can happen — pipeline completions,
 //! scalar-load arrivals, watchdog/self-test/checkpoint timers — and, when
 //! every component's next action is strictly in the future, advances time
@@ -25,8 +28,6 @@
 //! before the queue's current cycle clamps to the current cycle (and
 //! trips a `debug_assert!`), so the head of the queue is always `>= now`
 //! and time only moves forward.
-
-use std::collections::BTreeMap;
 
 use mem_sim::Cycle;
 
@@ -58,9 +59,9 @@ fn track_rank(track: Track) -> (u8, usize) {
     }
 }
 
-fn event_key(e: &ScheduledEvent) -> (u8, usize, u64) {
+fn event_key(e: &ScheduledEvent) -> (Cycle, u8, usize, u64) {
     let (class, idx) = track_rank(e.track);
-    (class, idx, e.seq)
+    (e.at, class, idx, e.seq)
 }
 
 /// A monotone, cycle-keyed event queue with a deterministic tie-break on
@@ -68,14 +69,22 @@ fn event_key(e: &ScheduledEvent) -> (u8, usize, u64) {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventQueue {
     now: Cycle,
-    buckets: BTreeMap<Cycle, Vec<ScheduledEvent>>,
-    len: usize,
+    /// Pending events sorted by descending [`event_key`]: the next event
+    /// to pop is the last.
+    events: Vec<ScheduledEvent>,
 }
 
 impl EventQueue {
     /// An empty queue whose clock reads `now`.
     pub fn new(now: Cycle) -> Self {
-        EventQueue { now, buckets: BTreeMap::new(), len: 0 }
+        EventQueue { now, events: Vec::new() }
+    }
+
+    /// Empties the queue and sets its clock to `now` — unlike
+    /// [`new`](Self::new), even backwards — keeping its storage.
+    pub fn reset(&mut self, now: Cycle) {
+        self.now = now;
+        self.events.clear();
     }
 
     /// The queue's current cycle. Only ever moves forward.
@@ -85,12 +94,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.events.is_empty()
     }
 
     /// Schedules an event. An `at` in the past clamps to the current
@@ -101,32 +110,23 @@ impl EventQueue {
         debug_assert!(at >= self.now, "event scheduled into the past: {at} < {}", self.now);
         let at = at.max(self.now);
         let e = ScheduledEvent { at, track, seq };
-        let bucket = self.buckets.entry(at).or_default();
-        // Keep each bucket sorted by the tie-break key so pop order is
+        // Keep the events sorted by the tie-break key so pop order is
         // independent of insertion order. Duplicates of the same key are
         // identical events; their relative order is unobservable.
-        let pos = bucket.partition_point(|x| event_key(x) <= event_key(&e));
-        bucket.insert(pos, e);
-        self.len += 1;
+        let pos = self.events.partition_point(|x| event_key(x) > event_key(&e));
+        self.events.insert(pos, e);
     }
 
     /// The cycle of the earliest pending event, if any.
     pub fn next_at(&self) -> Option<Cycle> {
-        self.buckets.keys().next().copied()
+        self.events.last().map(|e| e.at)
     }
 
     /// Removes and returns the earliest pending event (ties broken on
     /// `(track, seq)`), advancing the clock to its cycle.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let (&at, bucket) = self.buckets.iter_mut().next()?;
-        // Buckets are non-empty by construction (emptied buckets are
-        // removed below), so index 0 exists.
-        let e = bucket.remove(0);
-        if bucket.is_empty() {
-            self.buckets.remove(&at);
-        }
-        self.len -= 1;
-        self.now = self.now.max(at);
+        let e = self.events.pop()?;
+        self.now = self.now.max(e.at);
         Some(e)
     }
 
@@ -201,12 +201,30 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "into the past"))]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_clamps_in_release_and_asserts_in_debug() {
         let mut q = EventQueue::new(100);
         q.schedule(50, Track::Recovery, 0);
-        // Release builds clamp instead of asserting.
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn scheduling_into_the_past_clamps_in_release() {
+        let mut q = EventQueue::new(100);
+        q.schedule(50, Track::Recovery, 0);
         assert_eq!(q.next_at(), Some(100));
-        panic!("into the past (release-mode clamp verified)");
+        assert_eq!(q.pop().map(|e| (e.at, q.now())), Some((100, 100)));
+    }
+
+    #[test]
+    fn reset_empties_and_rewinds_the_clock() {
+        let mut q = EventQueue::new(10);
+        q.schedule(40, Track::Memory, 1);
+        q.reset(5);
+        assert!(q.is_empty());
+        assert_eq!((q.now(), q.next_at()), (5, None));
+        q.schedule(6, Track::Coproc, 0);
+        assert_eq!(q.next_at(), Some(6));
     }
 }

@@ -274,7 +274,12 @@ fn accept_loop(
 ) {
     while !stop.load(Ordering::SeqCst) {
         let accepted = match listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            // Replies are small line frames: send each at once instead of
+            // holding it for the peer's (delayed) ACK.
+            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                Stream::Tcp(s)
+            }),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         };
         match accepted {
@@ -428,9 +433,14 @@ impl Client {
     /// Returns the connection error as a string.
     pub fn connect(endpoint: &Endpoint) -> Result<Client, String> {
         let stream = match endpoint {
-            Endpoint::Tcp(addr) => Stream::Tcp(
-                TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?,
-            ),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+                // A request goes out as its line and then its newline;
+                // with Nagle's algorithm the newline would wait for the
+                // daemon's delayed ACK of the line.
+                s.set_nodelay(true).map_err(|e| format!("connect {addr}: {e}"))?;
+                Stream::Tcp(s)
+            }
             Endpoint::Unix(path) => Stream::Unix(
                 UnixStream::connect(path)
                     .map_err(|e| format!("connect {}: {e}", path.display()))?,

@@ -204,3 +204,39 @@ fn soak_1000_jobs_8_tenants_with_chaos() {
     );
     assert!(stats.contains("\"service.poisoned_locks\":0"), "no lock poisoning leaked: {stats}");
 }
+
+/// Two requests pipelined on one TCP connection are both answered well
+/// inside Linux's 40 ms delayed-ACK floor: neither end may hold a small
+/// segment back waiting for an ACK (Nagle's algorithm), which would
+/// stall each request line's trailing bytes behind the peer's delayed
+/// ACK.
+#[test]
+fn pipelined_tcp_requests_are_not_held_back_by_nagle() {
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".into());
+    let mut handle = serve(&endpoint, ServiceConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(&handle.endpoint).expect("client connects");
+    client.send(&Request::Ping).expect("ping sends");
+    assert_eq!(client.recv().expect("pong arrives"), Reply::Pong);
+
+    let mut tries: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.send(&Request::Ping).expect("first ping sends");
+            client.send(&Request::Ping).expect("second ping sends");
+            assert_eq!(client.recv().expect("first pong"), Reply::Pong);
+            assert_eq!(client.recv().expect("second pong"), Reply::Pong);
+            start.elapsed()
+        })
+        .collect();
+    tries.sort();
+    let median = tries[tries.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "pipelined round trip took {median:?} (median of 10; sorted {tries:?})"
+    );
+
+    client.send(&Request::Shutdown).expect("shutdown sends");
+    assert_eq!(client.recv().expect("ack"), Reply::ShuttingDown);
+    handle.wait(Duration::from_millis(10));
+    handle.stop();
+}

@@ -233,12 +233,18 @@ impl Codec for String {
     }
 }
 
+/// Encodes `items` exactly like a `Vec<T>` holding them, so state kept
+/// in some other shape can keep a `Vec`'s wire format.
+pub fn encode_seq<T: Codec>(items: &[T], sink: &mut Sink) {
+    items.len().encode(sink);
+    for item in items {
+        item.encode(sink);
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, sink: &mut Sink) {
-        self.len().encode(sink);
-        for item in self {
-            item.encode(sink);
-        }
+        encode_seq(self, sink);
     }
     fn decode(src: &mut Src<'_>) -> Result<Self, DecodeError> {
         let len = usize::decode(src)?;
@@ -298,6 +304,16 @@ impl<T: Codec> Codec for Box<T> {
     }
     fn decode(src: &mut Src<'_>) -> Result<Self, DecodeError> {
         Ok(Box::new(T::decode(src)?))
+    }
+}
+
+/// Encoded exactly like the value it shares (and like `Box<T>`).
+impl<T: Codec> Codec for std::sync::Arc<T> {
+    fn encode(&self, sink: &mut Sink) {
+        (**self).encode(sink);
+    }
+    fn decode(src: &mut Src<'_>) -> Result<Self, DecodeError> {
+        Ok(std::sync::Arc::new(T::decode(src)?))
     }
 }
 
