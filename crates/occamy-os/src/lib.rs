@@ -299,7 +299,7 @@ impl Scheduler {
             // Step with the event kernel bounded by the earliest quantum
             // expiry: a skipped idle span must not jump past the cycle
             // where a preemption decision is due. (`core_done` cannot
-            // change during an inert span, so the quantum boundary is
+            // change during a skipped span, so the quantum boundary is
             // the only scheduler-visible deadline inside one.) With an
             // empty ready queue no preemption can fire — and the queue
             // stays empty from then on, preemption being its only

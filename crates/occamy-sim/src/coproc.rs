@@ -75,21 +75,6 @@ pub(crate) struct OsContext {
     pub pregs: Vec<Vec<f32>>,
 }
 
-/// Outcome of the event kernel's per-core co-processor inertness probe
-/// ([`CoProcessor::core_activity`]): whether a `tick` at the probed cycle
-/// would change any co-processor state for the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CoprocActivity {
-    /// Nothing would happen this cycle. `reg_stall` reports whether the
-    /// pool head is a vector instruction stalled on register-block
-    /// exhaustion — the one inert case with a per-cycle statistics
-    /// side-effect (`rename_stall_cycles`), which the skip path must
-    /// replay in bulk.
-    Inert { reg_stall: bool },
-    /// A stage would do real work (or trip a fault) — do not skip.
-    Active,
-}
-
 /// What a core's memory issue stage would do (see
 /// `CoProcessor::mem_candidate`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +85,16 @@ enum MemAction {
     Fault { addr: u64, bytes: u64 },
 }
 
-/// Per-core issue counts for one cycle (consumed by the machine's
-/// statistics).
+/// What one core's co-processor stages did in one cycle (consumed by
+/// the machine's statistics and its skip replay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct IssueCounts {
+pub(crate) struct CoreCycle {
+    /// Compute instructions issued.
     pub compute: u64,
+    /// Memory instructions issued.
     pub mem: u64,
+    /// Whether rename stalled on register-block exhaustion.
+    pub rename_stall: bool,
 }
 
 /// Which physical register file a name belongs to.
@@ -454,12 +443,6 @@ impl CoProcessor {
         })
     }
 
-    /// Whether any in-flight compute result is due at `now` — a machine-
-    /// wide activity signal the event kernel checks before probing cores.
-    pub(crate) fn inflight_due(&self, now: Cycle) -> bool {
-        self.inflight.iter().any(|f| f.complete_at <= now)
-    }
-
     /// Schedules every pending completion — in-flight compute writebacks
     /// and issued LSU accesses — into the event queue, keyed by the same
     /// `(track, seq)` identities the event log uses.
@@ -472,100 +455,6 @@ impl CoProcessor {
                 q.schedule(at, Track::Memory, seq);
             }
         }
-    }
-
-    /// The event kernel's inertness probe for one core: decides — without
-    /// mutating anything — whether a `tick` at cycle `now` would change
-    /// co-processor state for `core`. The issue stages are asked through
-    /// the same choice functions they use; the other checks mirror their
-    /// stage exactly. When in doubt the probe answers
-    /// [`CoprocActivity::Active`], which merely forgoes a skip and can
-    /// never change results. The differential proptests in
-    /// `tests/event_kernel.rs` hold the mirror to the real stages.
-    pub(crate) fn core_activity(
-        &self,
-        core: usize,
-        now: Cycle,
-        mem_capacity: u64,
-    ) -> CoprocActivity {
-        let ctx = &self.cores[core];
-
-        // Stage 1 (complete): a retirement-ready ROB head or a due LSU
-        // completion would do work. (Due in-flight compute results are
-        // ruled out machine-wide by `inflight_due` before cores are
-        // probed.)
-        if ctx.rob.front().is_some_and(|h| h.done) {
-            return CoprocActivity::Active;
-        }
-        if ctx.lsu.issued_completions().any(|(at, _)| at <= now) {
-            return CoprocActivity::Active;
-        }
-
-        // Stage 2a (compute issue): the same choice `try_issue_compute`
-        // makes.
-        if self.compute_candidate(core).is_some() {
-            return CoprocActivity::Active;
-        }
-
-        // Stage 2b (memory issue): the same choice `try_issue_mem` makes,
-        // including an access that would trip a fault.
-        if self.mem_candidate(core, mem_capacity).is_some() {
-            return CoprocActivity::Active;
-        }
-
-        // Stage 3 (rename / EM-SIMD path): only the pool head can act.
-        let mut reg_stall = false;
-        match ctx.pool.front() {
-            None => {}
-            Some(PoolEntry::Vector { inst, .. }) => {
-                let structural_full = ctx.rob.len() >= self.cfg.rob_entries
-                    || (inst.is_mem() && ctx.lsu.is_full())
-                    || (!inst.is_mem() && ctx.iq.len() >= self.cfg.iq_entries);
-                if !structural_full {
-                    if ctx.cur_vl.lanes() == 0 {
-                        // Would trip InvalidVl.
-                        return CoprocActivity::Active;
-                    }
-                    if inst.vector_dst().is_some() {
-                        if self.blocks.can_reserve(&ctx.spans) {
-                            return CoprocActivity::Active;
-                        }
-                        reg_stall = true;
-                    } else if inst.pred_dst().is_some() {
-                        if self.blocks.can_reserve_pred(&ctx.spans) {
-                            return CoprocActivity::Active;
-                        }
-                        reg_stall = true;
-                    } else {
-                        // Stores rename without reserving a destination.
-                        return CoprocActivity::Active;
-                    }
-                }
-            }
-            Some(PoolEntry::Em { inst, .. }) => {
-                // Mirrors `exec_em`: only `MSR <VL>` over a non-drained
-                // pipeline waits; every other EM-SIMD instruction
-                // executes. (A zero `em_width` would also block the head,
-                // but then no cycle can drain it — treating it as active
-                // just forgoes the skip, conservatively.)
-                let waiting = matches!(inst, EmSimdInst::Msr { reg: DedicatedReg::Vl, .. })
-                    && !ctx.rob.is_empty();
-                if !waiting {
-                    return CoprocActivity::Active;
-                }
-                if self.events.is_enabled() && ctx.drain_start.is_none() {
-                    // exec_em would stamp drain_start this cycle.
-                    return CoprocActivity::Active;
-                }
-            }
-        }
-
-        // Event-log edges: `rename` records RenameStallBegin/End whenever
-        // the stall flag flips, so a flip cycle is not inert.
-        if self.events.is_enabled() && (ctx.stall_since.is_some() != reg_stall) {
-            return CoprocActivity::Active;
-        }
-        CoprocActivity::Inert { reg_stall }
     }
 
     fn mark_rob_done(rob: &mut VecDeque<RobEntry>, seq: u64) {
@@ -586,8 +475,10 @@ impl CoProcessor {
     }
 
     /// Stage 1: writebacks, load/store completion, retirement. Scalar
-    /// results for the scalar cores are appended to `wbs`.
-    pub(crate) fn complete(&mut self, now: Cycle, wbs: &mut Vec<ScalarWriteback>) {
+    /// results for the scalar cores are appended to `wbs`. Returns
+    /// whether anything completed or retired.
+    pub(crate) fn complete(&mut self, now: Cycle, wbs: &mut Vec<ScalarWriteback>) -> bool {
+        let (inflight_before, retired_before) = (self.inflight.len(), self.retired);
         let CoProcessor { prf, ppf, cores, inflight, trace, .. } = self;
 
         // Compute writebacks: the values already sit in their
@@ -627,10 +518,12 @@ impl CoProcessor {
         }
 
         // Memory completions: issued loads wrote their data at issue.
+        let mut progress = self.inflight.len() != inflight_before;
         let CoProcessor { prf, cores, trace, .. } = self;
         for (core, ctx) in cores.iter_mut().enumerate() {
             let CoreCtx { lsu, rob, .. } = ctx;
             lsu.retire_completed(now, |e| {
+                progress = true;
                 if let Some(dst) = e.dst {
                     prf.set_ready(dst);
                 }
@@ -663,21 +556,22 @@ impl CoProcessor {
                 }
             }
         }
+        progress || self.retired != retired_before
     }
 
-    /// Stage 2: compute and memory issue. Fills `counts` with per-core
-    /// issue counts.
+    /// Stage 2: compute and memory issue. Resets `counts` to one entry
+    /// per core and fills in the issue counts.
     pub(crate) fn issue(
         &mut self,
         now: Cycle,
         mem: &mut Memory,
         memsys: &mut MemorySystem,
         faults: &mut Option<FaultState>,
-        counts: &mut Vec<IssueCounts>,
+        counts: &mut Vec<CoreCycle>,
     ) {
         let ncores = self.cores.len();
         counts.clear();
-        counts.resize(ncores, IssueCounts::default());
+        counts.resize(ncores, CoreCycle::default());
         let shared = self.arch == Architecture::TemporalSharing;
 
         // Compute issue. Under temporal sharing the whole datapath is
@@ -909,15 +803,19 @@ impl CoProcessor {
     }
 
     /// Stage 3: rename + the EM-SIMD data path. Updates rename-stall and
-    /// phase statistics in `stats`; appends responses for waiting scalar
-    /// cores to `resps`.
+    /// phase statistics in `stats` and the rename-stall flags in
+    /// `cycle`; appends responses for waiting scalar cores to `resps`.
+    /// Returns whether anything renamed or executed, or a drain or
+    /// rename stall began or ended.
     pub(crate) fn rename(
         &mut self,
         now: Cycle,
         stats: &mut [CoreStats],
         faults: &mut Option<FaultState>,
         resps: &mut Vec<EmResponse>,
-    ) {
+        cycle: &mut [CoreCycle],
+    ) -> bool {
+        let mut progress = false;
         let mut em_budget = self.cfg.em_width;
         // Rotate the service order so the shared EM-SIMD data path cannot
         // be starved by other cores' vector-length retry loops (with a
@@ -942,9 +840,14 @@ impl CoProcessor {
                                 self.cores[core].pool.pop_front();
                                 em_budget -= 1;
                                 budget -= 1;
+                                progress = true;
                             }
-                            // Waiting for the pipeline to drain.
-                            None => break,
+                            // Waiting for the pipeline to drain (whose
+                            // start this cycle may have stamped).
+                            None => {
+                                progress |= self.cores[core].drain_start == Some(now);
+                                break;
+                            }
                         }
                     }
                     Some(PoolEntry::Vector { .. }) => {
@@ -952,9 +855,11 @@ impl CoProcessor {
                             break;
                         }
                         budget -= 1;
+                        progress = true;
                     }
                 }
             }
+            cycle[core].rename_stall = stalled_on_regs;
             if stalled_on_regs {
                 stats[core].rename_stall_cycles += 1;
             }
@@ -963,12 +868,15 @@ impl CoProcessor {
                     if self.cores[core].stall_since.is_none() {
                         self.cores[core].stall_since = Some(now);
                         self.event(now, Track::Core(core), EventKind::RenameStallBegin);
+                        progress = true;
                     }
                 } else if self.cores[core].stall_since.take().is_some() {
                     self.event(now, Track::Core(core), EventKind::RenameStallEnd);
+                    progress = true;
                 }
             }
         }
+        progress
     }
 
     /// The physical registers a vector instruction of `core` reads under

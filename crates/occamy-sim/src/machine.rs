@@ -4,9 +4,7 @@ use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program, ScalarI
 use mem_sim::{Cycle, MemStats, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
-use crate::coproc::{
-    CoProcessor, CoprocActivity, EmResponse, IssueCounts, OsContext, ScalarWriteback,
-};
+use crate::coproc::{CoProcessor, CoreCycle, EmResponse, OsContext, ScalarWriteback};
 use crate::error::{CoreDump, SimError, WatchdogDump};
 use crate::events::{EventKind, EventLog, Track};
 use crate::fault::{FaultPlan, FaultState, FaultStats};
@@ -110,13 +108,14 @@ pub struct Machine {
 struct Scratch {
     /// Scalar results the co-processor completed this cycle.
     wbs: Vec<ScalarWriteback>,
-    /// Per-core issue counts of this cycle.
-    issued: Vec<IssueCounts>,
+    /// What each core's co-processor stages did this cycle: issue
+    /// counts and the rename-stall flag.
+    cores: Vec<CoreCycle>,
     /// EM-SIMD responses for waiting scalar cores.
     resps: Vec<EmResponse>,
     /// Per-core busy lanes of this cycle.
     busy: Vec<f64>,
-    /// Per-core allocated lanes of this cycle (or of a skipped span).
+    /// Per-core allocated lanes of this cycle.
     alloc: Vec<usize>,
     /// Per-core overhead counters before rename, for the profiler's
     /// cycle classifier.
@@ -124,10 +123,23 @@ struct Scratch {
     /// Overhead slots `step_scalar` charges only if the front end
     /// saturates.
     deferred: Vec<(InstTag, f64)>,
-    /// What the inertness probe found per core.
-    inert: Vec<InertCore>,
+    /// Per-core accounting of this cycle that a skip replays (with
+    /// `alloc` and `cores[c].rename_stall`).
+    rows: Vec<IdleRow>,
     /// The event horizon of a skip attempt.
     queue: EventQueue,
+}
+
+/// What a core's tick charged besides its lanes and rename stalls:
+/// the rest of the row [`Machine::apply_skip`] replays over a skipped
+/// span.
+#[derive(Debug, Clone, Copy)]
+struct IdleRow {
+    /// The wait tag a core parked in `Wait::EmAck` charged to the
+    /// overhead counters.
+    overhead: Option<InstTag>,
+    /// The profiler's class for the cycle (set with the profiler on).
+    class: CycleClass,
 }
 
 impl Clone for Scratch {
@@ -160,9 +172,6 @@ struct KernelCtl {
     cycles_skipped: u64,
     /// Number of jumped spans.
     skips: u64,
-    /// Whether to publish `sim.cycles_skipped` in the metrics registry
-    /// (off by default: golden documents embed registry snapshots).
-    expose_metric: bool,
 }
 
 impl KernelCtl {
@@ -181,28 +190,6 @@ impl PartialEq for KernelCtl {
     fn eq(&self, _: &Self) -> bool {
         true
     }
-}
-
-/// What the event kernel's probe found for one inert core: the per-cycle
-/// side-effects a real tick would have had, which
-/// [`Machine::apply_skip`] replays in bulk over the jumped span.
-#[derive(Debug, Clone, Copy)]
-struct InertCore {
-    /// `Some(tag)` when the core is parked in `Wait::EmAck` and charges
-    /// its wait tag to the overhead counters every cycle.
-    overhead: Option<InstTag>,
-    /// Whether the core's pool head stalls on register-block exhaustion
-    /// (charging `rename_stall_cycles` every cycle).
-    reg_stall: bool,
-}
-
-/// Outcome of the machine-level scalar-core inertness probe.
-#[derive(Debug, Clone, Copy)]
-enum ScalarActivity {
-    /// The core would execute, trip a fault, or otherwise change state.
-    Active,
-    /// The core is blocked; `overhead` as in [`InertCore`].
-    Inert { overhead: Option<InstTag> },
 }
 
 /// The machine's execution mode (the gem5 Atomic-vs-O3 split): the
@@ -559,14 +546,6 @@ impl Machine {
     /// Number of idle spans the event kernel jumped so far.
     pub fn skip_count(&self) -> u64 {
         self.kernel.skips
-    }
-
-    /// Publishes `sim.cycles_skipped` in the metrics registry. Off by
-    /// default: golden documents embed registry snapshots, and the skip
-    /// counter is the one quantity that legitimately differs between the
-    /// kernels.
-    pub fn expose_kernel_metric(&mut self, on: bool) {
-        self.kernel.expose_metric = on;
     }
 
     /// Captures a deterministic architectural snapshot of the whole
@@ -982,77 +961,70 @@ impl Machine {
     ///
     /// See [`run`](Machine::run).
     pub fn step(&mut self) -> Result<(), SimError> {
+        self.step_idle().map(drop)
+    }
+
+    /// [`step`](Machine::step), returning whether the cycle may be
+    /// replayed: its tick made no progress and no rollback replaced the
+    /// machine.
+    fn step_idle(&mut self) -> Result<bool, SimError> {
         if let Some(e) = self.fault() {
             return Err(e.clone());
         }
         self.recovery_maintenance();
-        self.tick();
+        let progress = self.tick();
         if self.try_recover()? {
             // Rolled back to the last checkpoint: the cycle counter and
             // watchdog state were restored with it.
-            return Ok(());
+            return Ok(false);
         }
         if let Some(e) = self.fault() {
             return Err(e.clone());
         }
-        self.check_watchdog()
+        self.check_watchdog()?;
+        Ok(!progress)
     }
 
-    /// Advances the machine by one *real* step toward `bound` (an
-    /// exclusive cycle limit the caller's loop is running to), first
-    /// letting the event-driven kernel jump any leading span of provably
-    /// inert cycles. Equivalent to calling [`step`](Machine::step) in a
-    /// loop — same statistics, same outputs, same faults at the same
-    /// cycles — but idle spans cost O(1) instead of O(span).
+    /// Advances the machine by one real step and then, if that step's
+    /// tick made no progress, jumps the clock over the idle cycles after
+    /// it, never past `bound` (an exclusive cycle limit the caller's
+    /// loop is running to). Equivalent to calling
+    /// [`step`](Machine::step) in a loop — same statistics, same
+    /// outputs, same faults at the same cycles — but idle spans cost
+    /// O(1) instead of O(span).
     ///
-    /// How the jump stays exact: the inertness probe
-    /// ([`probe_inert`](Machine::probe_inert)) proves that a tick at the
-    /// current cycle would change nothing, a [`EventQueue`] over every
-    /// scheduled future action (pipeline and memory completions, scalar
-    /// load arrivals, watchdog/checkpoint/self-test timers) bounds how
-    /// long that stays true, and [`apply_skip`](Machine::apply_skip)
-    /// replays the span's per-cycle accounting in bulk. The cycle at the
-    /// horizon itself is always executed as a real step.
+    /// How the jump stays exact: a tick that reports no progress
+    /// ([`tick`](Machine::tick)) changed nothing but the per-cycle
+    /// accounting it recorded, so every later tick repeats it until a
+    /// scheduled action happens. An [`EventQueue`] over every such
+    /// action (pipeline and memory completions, scalar load arrivals,
+    /// watchdog/checkpoint/self-test timers) gives that horizon, and
+    /// [`apply_skip`](Machine::apply_skip) replays the recorded row once
+    /// per skipped cycle, in bulk. The cycle at the horizon is executed
+    /// as a real step by the next call.
     ///
     /// # Errors
     ///
     /// See [`run`](Machine::run).
     pub fn step_bounded(&mut self, bound: Cycle) -> Result<(), SimError> {
-        if !self.kernel.reference && self.fault().is_none() {
-            self.try_skip_idle(bound);
-        }
-        self.step()
-    }
-
-    /// The skip decision: probes for inertness, gathers the event
-    /// horizon, and jumps `cycle` to `min(horizon, bound - 1)` when that
-    /// is in the future. Leaves the machine untouched otherwise.
-    fn try_skip_idle(&mut self, bound: Cycle) {
-        let now = self.cycle;
-        // Capping at `bound - 1` keeps the loop's final cycle a real
-        // step, so `cycle` lands exactly on `bound` and never overshoots
-        // a `while cycle < bound` driver.
-        if bound <= now + 1 {
-            return;
+        if !self.step_idle()? || self.kernel.reference {
+            return Ok(());
         }
         // Quarantined granules draining toward retirement can retire on
         // any cycle an owner sheds them — too entangled with the lane
         // manager to predict, so never skip while one is in flight.
         if self.recovery.is_some() && self.coproc.quarantine_counts().0 != 0 {
-            return;
+            return Ok(());
         }
-        let mut inert = std::mem::take(&mut self.scratch.inert);
-        if self.probe_inert(&mut inert) {
-            let horizon = self.event_horizon(bound);
-            if horizon > now {
-                self.apply_skip(horizon - now, &inert);
-            }
+        let horizon = self.event_horizon(bound);
+        if horizon > self.cycle {
+            self.apply_skip(horizon - self.cycle);
         }
-        self.scratch.inert = inert;
+        Ok(())
     }
 
     /// The earliest cycle at which any scheduled future action happens,
-    /// capped at `bound - 1`.
+    /// capped at `bound`.
     fn event_horizon(&mut self, bound: Cycle) -> Cycle {
         let now = self.cycle;
         let mut q = std::mem::take(&mut self.scratch.queue);
@@ -1063,7 +1035,7 @@ impl Machine {
                 q.schedule(done, Track::Core(c), 0);
             }
         }
-        // Watchdog timer: inert cycles are by definition stagnant, so
+        // Watchdog timer: replayed cycles are by definition stagnant, so
         // the trip step (which must execute for real, recording the
         // event and the dump) comes `watchdog - stagnant` steps out; the
         // step *starting* at that cycle performs the trip.
@@ -1094,167 +1066,38 @@ impl Machine {
                 q.schedule(now.max(1).div_ceil(i) * i, Track::Recovery, 2);
             }
         }
-        let horizon = q.next_at().map_or(bound - 1, |at| at.min(bound - 1));
+        let horizon = q.next_at().map_or(bound, |at| at.min(bound));
         self.scratch.queue = q;
         horizon
     }
 
-    /// Proves — without mutating anything — that a `tick` at the current
-    /// cycle would change no machine state, and captures each core's
-    /// per-cycle statistics side-effects for bulk replay into `cores`.
-    /// Returns `false` as soon as any component would act; a
-    /// conservative `false` merely forgoes the skip.
-    fn probe_inert(&self, cores: &mut Vec<InertCore>) -> bool {
-        let now = self.cycle;
-        cores.clear();
-        if self.coproc.inflight_due(now) {
-            return false;
-        }
-        let mem_capacity = self.mem.capacity() as u64;
-        for c in 0..self.cfg.cores {
-            if self.scalar[c].pending_loads.iter().any(|&(done, _)| done <= now) {
-                return false;
-            }
-            // `tick` records a finish marker the first cycle a halted
-            // core's co-processor context drains.
-            if self.scalar[c].halted
-                && self.core_stats[c].finish_cycle.is_none()
-                && self.coproc.is_drained(c)
-                && self.scalar[c].program.is_some()
-            {
-                return false;
-            }
-            let reg_stall = match self.coproc.core_activity(c, now, mem_capacity) {
-                CoprocActivity::Active => return false,
-                CoprocActivity::Inert { reg_stall } => reg_stall,
-            };
-            let overhead = match self.probe_scalar(c) {
-                ScalarActivity::Active => return false,
-                ScalarActivity::Inert { overhead } => overhead,
-            };
-            cores.push(InertCore { overhead, reg_stall });
-        }
-        true
-    }
-
-    /// The scalar half of the inertness probe: decides whether
-    /// [`step_scalar`](Machine::step_scalar) would make progress on core
-    /// `c` this cycle, mirroring its dispatch on the first fetched
-    /// instruction (only the first matters — if it blocks, nothing after
-    /// it runs; if it acts, the cycle is not inert).
-    fn probe_scalar(&self, c: usize) -> ScalarActivity {
-        let s = &self.scalar[c];
-        if s.frozen {
-            // Frozen precedes the EmAck attribution in `step_scalar`:
-            // a frozen waiting core charges nothing.
-            return ScalarActivity::Inert { overhead: None };
-        }
-        if s.wait == Wait::EmAck {
-            return ScalarActivity::Inert { overhead: Some(s.wait_tag) };
-        }
-        if s.halted {
-            return ScalarActivity::Inert { overhead: None };
-        }
-        let pc = s.pc;
-        let Some(inst) = s.program.as_ref().and_then(|p| (pc < p.len()).then(|| p.fetch(pc)))
-        else {
-            // Would trip a Decode fault (PC off the end).
-            return ScalarActivity::Active;
-        };
-        let blocked = match inst {
-            Inst::Halt => false,
-            Inst::Scalar(sc) if sc.is_mem() => {
-                s.blocked_on_pending(sc)
-                    || s.pending_loads.len() >= 8
-                    || {
-                        let (base, index) = match sc {
-                            ScalarInst::Ldr { base, index, .. }
-                            | ScalarInst::Str { base, index, .. } => (base, index),
-                            _ => return ScalarActivity::Active,
-                        };
-                        let addr = s.x[base.index()]
-                            .wrapping_add(s.x[index.index()].wrapping_mul(4));
-                        // An overlap parks the access; anything else —
-                        // including an out-of-bounds trip — acts.
-                        self.coproc.any_mem_overlap(c, addr, 4)
-                    }
-            }
-            Inst::Scalar(sc) => s.blocked_on_pending(sc),
-            Inst::Vector(v) => {
-                v.scalar_srcs().any(|r| s.pending_x[r.index()])
-                    || !self.coproc.pool_has_space(c)
-            }
-            Inst::EmSimd(e) => match e {
-                // MRS <decision> executes speculatively, always.
-                EmSimdInst::Mrs { reg: DedicatedReg::Decision, .. } => false,
-                EmSimdInst::Msr { src: Operand::Reg(r), .. }
-                    if s.pending_x[r.index()] =>
-                {
-                    true
-                }
-                _ => !self.coproc.pool_has_space(c),
-            },
-        };
-        if blocked {
-            ScalarActivity::Inert { overhead: None }
-        } else {
-            ScalarActivity::Active
-        }
-    }
-
-    /// Replays `span` inert cycles' worth of per-cycle accounting in one
-    /// shot: lane-allocation integrals, rename-stall and overhead
+    /// Replays `span` cycles of the last tick's per-cycle accounting in
+    /// one shot: lane-allocation integrals, rename-stall and overhead
     /// charges, profiler attribution, the timeline series, watchdog
-    /// stagnation, and the cycle counter itself. Exact by construction —
-    /// every quantity below is what `span` consecutive inert `tick`s
-    /// would have accumulated (integer counters add exactly; the f64
-    /// overhead counters hold dyadic multiples of 1/8 far below 2^52,
-    /// where repeated `+1.0` equals one `+span`; busy-lane terms are
-    /// identically zero on an inert cycle).
-    fn apply_skip(&mut self, span: Cycle, inert: &[InertCore]) {
+    /// stagnation, and the cycle counter itself. Called only after a
+    /// tick that made no progress, so each skipped tick would have
+    /// charged exactly that tick's row (integer counters add exactly;
+    /// the f64 overhead counters hold dyadic multiples of 1/8 far below
+    /// 2^52, where repeated `+1.0` equals one `+span`; busy-lane terms
+    /// are zero on a cycle without issue).
+    fn apply_skip(&mut self, span: Cycle) {
         let start = self.cycle;
-        self.scratch.alloc.clear();
         for c in 0..self.cfg.cores {
-            let lanes = self.coproc.cur_vl(c).lanes();
-            self.scratch.alloc.push(lanes);
-            self.core_stats[c].alloc_lane_cycles += lanes as u64 * span;
-            if inert[c].reg_stall {
+            let lanes = self.scratch.alloc[c] as u64;
+            self.core_stats[c].alloc_lane_cycles += lanes * span;
+            if self.scratch.cores[c].rename_stall {
                 self.core_stats[c].rename_stall_cycles += span;
             }
-            if let Some(tag) = inert[c].overhead {
+            let row = self.scratch.rows[c];
+            if let Some(tag) = row.overhead {
                 self.attribute_overhead(c, tag, span as f64);
             }
-        }
-        if let Some(mut prof) = self.profile.take() {
-            for c in 0..self.cfg.cores {
-                // The per-tick classifier, restricted to what an inert
-                // cycle can be: no issue and no scalar retirement, so
-                // Compute is unreachable.
-                let class = match inert[c].overhead {
-                    Some(InstTag::Monitor) => CycleClass::Monitor,
-                    Some(
-                        InstTag::Reconfigure
-                        | InstTag::PhasePrologue
-                        | InstTag::PhaseEpilogue,
-                    ) => CycleClass::DrainReconfig,
-                    _ => {
-                        if self.coproc.lsu_outstanding(c) + self.scalar[c].pending_loads.len()
-                            > 0
-                        {
-                            CycleClass::MemoryBound
-                        } else if self.scalar[c].halted && self.coproc.is_drained(c) {
-                            CycleClass::Idle
-                        } else {
-                            CycleClass::Other
-                        }
-                    }
-                };
-                prof.attribute_span(c, self.coproc.open_phase(c), class, span);
+            if let Some(prof) = self.profile.as_mut() {
+                prof.attribute_span(c, self.coproc.open_phase(c), row.class, span);
             }
-            self.profile = Some(prof);
         }
         self.timeline.record_idle_span(start, &self.scratch.alloc, span);
-        // Inert cycles are stagnant by definition; `check_watchdog`
+        // Replayed cycles are stagnant by definition; `check_watchdog`
         // would have reset to zero each cycle only if the machine were
         // done.
         if self.done() {
@@ -1469,16 +1312,6 @@ impl Machine {
         let mut r = MetricsRegistry::new();
         r.counter("sim.cycles", self.cycle, "total simulated cycles");
         r.counter("sim.completed", u64::from(self.done()), "1 when every workload halted");
-        // Opt-in (see `expose_kernel_metric`): golden documents embed
-        // registry snapshots, and this is the one counter that
-        // legitimately differs between the event and reference kernels.
-        if self.kernel.expose_metric {
-            r.counter(
-                "sim.cycles_skipped",
-                self.kernel.cycles_skipped,
-                "idle cycles jumped by the event-driven kernel (included in sim.cycles)",
-            );
-        }
         // Two-speed metrics are emitted only after a functional window
         // has run, so pure-timing registries stay byte-identical to
         // pre-two-speed builds.
@@ -1805,18 +1638,28 @@ impl Machine {
     /// Advances the machine by one cycle without fault reporting (a
     /// faulted machine does not advance; prefer [`step`](Machine::step),
     /// which surfaces the error).
-    pub fn tick(&mut self) {
+    ///
+    /// Returns whether the cycle made progress, as reported by the
+    /// stages: any completion, retirement, issue, rename, EM-SIMD
+    /// execution, scalar fetch, halt or load arrival, finish marker,
+    /// fault, or event-log edge. A cycle without progress changed
+    /// nothing but the per-cycle accounting it records for
+    /// [`apply_skip`](Machine::apply_skip), so the cycles after it
+    /// repeat it until a scheduled action happens. A faulted machine
+    /// reports progress, so nothing replays it.
+    pub fn tick(&mut self) -> bool {
         if self.fault.is_some() || self.coproc.fault.is_some() {
-            return;
+            return true;
         }
         let now = self.cycle;
+        let mut progress = false;
 
         // Stage 1: completions and scalar writebacks.
         for core in &mut self.scalar {
-            core.complete_scalar_loads(now);
+            progress |= core.complete_scalar_loads(now);
         }
         self.scratch.wbs.clear();
-        self.coproc.complete(now, &mut self.scratch.wbs);
+        progress |= self.coproc.complete(now, &mut self.scratch.wbs);
         for wb in &self.scratch.wbs {
             self.scalar[wb.core].write_f32(wb.reg, wb.value);
             self.scalar[wb.core].pending_x[wb.reg.index()] = false;
@@ -1825,11 +1668,13 @@ impl Machine {
         // Stage 2: issue; accumulate occupancy statistics.
         let scratch = &mut self.scratch;
         let (mem, memsys, faults) = (&mut self.mem, &mut self.memsys, &mut self.faults);
-        self.coproc.issue(now, mem, memsys, faults, &mut scratch.issued);
+        self.coproc.issue(now, mem, memsys, faults, &mut scratch.cores);
         scratch.busy.clear();
         scratch.alloc.clear();
+        scratch.rows.clear();
         for c in 0..self.cfg.cores {
-            let issued = scratch.issued[c];
+            let issued = scratch.cores[c];
+            progress |= issued.compute + issued.mem > 0;
             let lanes = self.coproc.cur_vl(c).lanes();
             self.core_stats[c].vector_compute_issued += issued.compute;
             self.core_stats[c].vector_mem_issued += issued.mem;
@@ -1841,6 +1686,7 @@ impl Machine {
             self.core_stats[c].busy_lane_cycles += busy;
             scratch.busy.push(busy);
             scratch.alloc.push(lanes);
+            scratch.rows.push(IdleRow { overhead: None, class: CycleClass::Other });
             self.core_stats[c].alloc_lane_cycles += lanes as u64;
         }
 
@@ -1857,7 +1703,13 @@ impl Machine {
 
         // Stage 3: rename + EM-SIMD data path.
         scratch.resps.clear();
-        self.coproc.rename(now, &mut self.core_stats, &mut self.faults, &mut scratch.resps);
+        progress |= self.coproc.rename(
+            now,
+            &mut self.core_stats,
+            &mut self.faults,
+            &mut scratch.resps,
+            &mut scratch.cores,
+        );
         for resp in &scratch.resps {
             if let Some((reg, value)) = resp.write_x {
                 self.scalar[resp.core].x[reg.index()] = value;
@@ -1867,7 +1719,7 @@ impl Machine {
 
         // Stage 4: scalar cores execute and transmit.
         for c in 0..self.cfg.cores {
-            self.step_scalar(c, now);
+            progress |= self.step_scalar(c, now);
         }
 
         // A workload is finished once its core halted *and* its last
@@ -1879,6 +1731,7 @@ impl Machine {
                 && self.scalar[c].program.is_some()
             {
                 self.core_stats[c].finish_cycle = Some(now);
+                progress = true;
             }
         }
 
@@ -1888,7 +1741,7 @@ impl Machine {
         if let Some(mut prof) = self.profile.take() {
             for c in 0..self.cfg.cores {
                 let (mon0, rec0, sc0) = self.scratch.prof_base[c];
-                let issued = self.scratch.issued[c];
+                let issued = self.scratch.cores[c];
                 let class = if self.core_stats[c].monitor_cycles > mon0 {
                     CycleClass::Monitor
                 } else if self.core_stats[c].reconfig_cycles > rec0 {
@@ -1906,6 +1759,7 @@ impl Machine {
                 } else {
                     CycleClass::Other
                 };
+                self.scratch.rows[c].class = class;
                 prof.attribute(c, self.coproc.open_phase(c), class);
             }
             self.profile = Some(prof);
@@ -1913,6 +1767,7 @@ impl Machine {
 
         self.timeline.record(now, &self.scratch.busy, &self.scratch.alloc);
         self.cycle += 1;
+        progress
     }
 
     fn attribute_overhead(&mut self, core: usize, tag: InstTag, amount: f64) {
@@ -1925,10 +1780,12 @@ impl Machine {
         }
     }
 
-    /// Executes up to `scalar_width` instructions on core `c`.
-    fn step_scalar(&mut self, c: usize, now: Cycle) {
+    /// Executes up to `scalar_width` instructions on core `c`. Returns
+    /// whether the core made progress (executed, transmitted, halted or
+    /// faulted).
+    fn step_scalar(&mut self, c: usize, now: Cycle) -> bool {
         if self.scalar[c].frozen {
-            return;
+            return false;
         }
         match self.scalar[c].wait {
             Wait::EmAck => {
@@ -1936,15 +1793,17 @@ impl Machine {
                 // drain for MSR <VL>): attribute the stall cycle.
                 let tag = self.scalar[c].wait_tag;
                 self.attribute_overhead(c, tag, 1.0);
-                return;
+                self.scratch.rows[c].overhead = Some(tag);
+                return false;
             }
             Wait::Ready => {}
         }
         if self.scalar[c].halted {
-            return;
+            return false;
         }
         let weight = 1.0 / self.cfg.scalar_width as f64;
         let mut budget = self.cfg.scalar_width;
+        let pc0 = self.scalar[c].pc;
         // Overhead instructions (partition monitor, prologue/epilogue)
         // are only charged when the front end is saturated this cycle —
         // on an 8-issue core they usually ride in slack slots, which is
@@ -1965,7 +1824,7 @@ impl Machine {
                     detail: "program counter ran off the end of the program (missing HALT?)"
                         .into(),
                 });
-                return;
+                return true;
             };
             match inst {
                 Inst::Halt => {
@@ -1998,7 +1857,7 @@ impl Machine {
                             bytes: 4,
                             capacity: self.mem.capacity() as u64,
                         });
-                        return;
+                        return true;
                     }
                     let done = self.memsys.scalar_access(now, c, addr, store)
                         + self.faults.as_mut().map_or(0, FaultState::spike_mem);
@@ -2084,6 +1943,8 @@ impl Machine {
                 self.attribute_overhead(c, tag, w);
             }
         }
+        // An EM-SIMD transmit spends no budget but moves the PC.
+        budget < self.cfg.scalar_width || self.scalar[c].pc != pc0 || self.scalar[c].halted
     }
 }
 

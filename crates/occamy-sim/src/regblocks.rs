@@ -214,13 +214,6 @@ impl RegBlocks {
         spans
     }
 
-    /// Whether [`try_reserve`](Self::try_reserve) would succeed — the
-    /// non-mutating mirror the event kernel's inertness probe uses to
-    /// predict a rename stall without perturbing the free counts.
-    pub fn can_reserve(&self, blocks: &[usize]) -> bool {
-        !blocks.iter().any(|&b| self.free[b] == 0)
-    }
-
     /// Tries to reserve one physical-register entry in each of `blocks`.
     /// Returns `false` (reserving nothing) if any block is exhausted —
     /// the renamer stalls in that case.
@@ -250,12 +243,6 @@ impl RegBlocks {
     /// Free predicate-register entries remaining in `block`.
     pub fn free_pred_entries(&self, block: usize) -> usize {
         self.pred_free[block]
-    }
-
-    /// Whether [`try_reserve_pred`](Self::try_reserve_pred) would
-    /// succeed, without reserving anything.
-    pub fn can_reserve_pred(&self, blocks: &[usize]) -> bool {
-        !blocks.iter().any(|&b| self.pred_free[b] == 0)
     }
 
     /// Tries to reserve one predicate-register entry in each of `blocks`;

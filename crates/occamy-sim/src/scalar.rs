@@ -161,8 +161,10 @@ impl ScalarCore {
             || Self::scalar_write(inst).is_some_and(|r| self.pending_x[r.index()])
     }
 
-    /// Retires scalar loads whose data has arrived.
-    pub fn complete_scalar_loads(&mut self, now: Cycle) {
+    /// Retires scalar loads whose data has arrived. Returns whether any
+    /// did.
+    pub fn complete_scalar_loads(&mut self, now: Cycle) -> bool {
+        let before = self.pending_loads.len();
         self.pending_loads.retain(|&(done, reg)| {
             if done <= now {
                 self.pending_x[reg.index()] = false;
@@ -171,6 +173,7 @@ impl ScalarCore {
                 true
             }
         });
+        self.pending_loads.len() != before
     }
 
     /// The scalar payload a vector instruction carries to the

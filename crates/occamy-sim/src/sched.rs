@@ -7,9 +7,9 @@
 //! [`reset`](EventQueue::reset) reuses its storage, so the machine's
 //! per-attempt queue allocates nothing. The machine uses it to find the
 //! next cycle at which *anything* can happen — pipeline completions,
-//! scalar-load arrivals, watchdog/self-test/checkpoint timers — and, when
-//! every component's next action is strictly in the future, advances time
-//! directly to that cycle instead of ticking through the idle span (see
+//! scalar-load arrivals, watchdog/self-test/checkpoint timers — and,
+//! after a tick that made no progress, advances time directly to that
+//! cycle instead of ticking through the idle span (see
 //! `Machine::step_bounded`).
 //!
 //! # Determinism
@@ -21,8 +21,8 @@
 //! the machine's stage order) and `seq` a caller-supplied discriminator
 //! (ROB sequence number, LSU age, timer id). Two schedules of the same
 //! event set therefore drain identically regardless of the order the
-//! components were probed in, which is what keeps the event kernel
-//! bit-reproducible across refactors of the probe itself.
+//! components scheduled them in, which is what keeps the event kernel
+//! bit-reproducible across refactors of the machine's horizon code.
 //!
 //! Scheduling into the past is impossible by construction: an `at`
 //! before the queue's current cycle clamps to the current cycle (and
@@ -105,7 +105,7 @@ impl EventQueue {
     /// Schedules an event. An `at` in the past clamps to the current
     /// cycle (a scheduler may only ever defer work, never rewrite
     /// history); the clamp trips a `debug_assert!` because a past target
-    /// is a probe bug, not a legal request.
+    /// is a horizon bug, not a legal request.
     pub fn schedule(&mut self, at: Cycle, track: Track, seq: u64) {
         debug_assert!(at >= self.now, "event scheduled into the past: {at} < {}", self.now);
         let at = at.max(self.now);

@@ -148,7 +148,7 @@ impl Timeline {
         }
     }
 
-    /// Records `span` consecutive *inert* cycles starting at `cycle` in
+    /// Records `span` consecutive *idle* cycles starting at `cycle` in
     /// one call — the event kernel's bulk equivalent of `span` calls to
     /// [`record`](Self::record) with zero busy lanes and constant
     /// per-core allocations. Bucket boundaries inside the span flush
